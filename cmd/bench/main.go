@@ -13,10 +13,7 @@
 // -smoke runs every benchmark for a single iteration (harness
 // correctness, not timing) — this is what CI uses. The JSON schema per
 // result is {name, ns_op, b_op, allocs_op, mb_s}. -check also enforces
-// the throughput floor (-mbs-threshold, new/old MB/s) and the parallel
-// scaling curve: on hosts with >= 4 cores, BuildIndexParallel/workers=4
-// pinned at gomaxprocs=4 must reach 1.8x sequential BuildIndex, and no
-// workers=N row may fall below sequential anywhere.
+// the throughput floor (-mbs-threshold, new/old MB/s).
 package main
 
 import (
@@ -56,26 +53,17 @@ type result struct {
 	// BinPerS is binaries analyzed per second, reported by the engine/*
 	// series where one op processes the whole corpus.
 	BinPerS float64 `json:"bin_s,omitempty"`
-	// Gomaxprocs is set on rows that pin runtime.GOMAXPROCS for the
-	// duration of the measurement (the gomaxprocs=N series); zero means
-	// the process-wide value in the report header applied.
-	Gomaxprocs int `json:"gomaxprocs,omitempty"`
 }
 
 type report struct {
 	Date   string `json:"date"`
 	Goos   string `json:"goos"`
 	Goarch string `json:"goarch"`
-	// Gomaxprocs is the process-wide default: it applies to every row
-	// whose own gomaxprocs field is absent. Rows in the gomaxprocs=N
-	// series pin the scheduler for their measurement and record the
-	// pinned value, overriding this default for that row only.
-	Gomaxprocs int `json:"gomaxprocs"`
-	// NumCPU records the host's core count so scaling rows (workers=N,
-	// gomaxprocs=N) can be read honestly: pinning gomaxprocs=4 on a
-	// 1-core host changes scheduling, not hardware parallelism.
-	NumCPU  int      `json:"numcpu"`
-	Results []result `json:"results"`
+	// Gomaxprocs and NumCPU record the scheduler width and the host's
+	// core count the rows were measured under.
+	Gomaxprocs int      `json:"gomaxprocs"`
+	NumCPU     int      `json:"numcpu"`
+	Results    []result `json:"results"`
 }
 
 func main() {
@@ -91,7 +79,7 @@ func run() error {
 		outDir       = flag.String("out", ".", "directory for BENCH_<date>.json")
 		date         = flag.String("date", time.Now().Format("2006-01-02"), "date stamp for the output file")
 		smoke        = flag.Bool("smoke", false, "single-iteration run (harness correctness, not timing)")
-		check        = flag.Bool("check", false, "exit non-zero on ns/op, MB/s, or parallel-scaling regressions vs the previous BENCH_*.json")
+		check        = flag.Bool("check", false, "exit non-zero on ns/op or MB/s regressions vs the previous BENCH_*.json")
 		threshold    = flag.Float64("threshold", 1.25, "regression threshold as a ratio (new/old ns_op)")
 		mbsThreshold = flag.Float64("mbs-threshold", 0.85, "throughput floor as a ratio (new/old mb_s); rows below it regress")
 		scale        = flag.Float64("scale", 0.5, "corpus function-count scale factor")
@@ -163,19 +151,12 @@ func run() error {
 		if seriesRe != nil && !seriesRe.MatchString(bm.name) {
 			continue
 		}
-		if bm.gomaxprocs > 0 {
-			runtime.GOMAXPROCS(bm.gomaxprocs)
-		}
 		r := testing.Benchmark(bm.fn)
-		if bm.gomaxprocs > 0 {
-			runtime.GOMAXPROCS(rep.Gomaxprocs)
-		}
 		res := result{
 			Name:        bm.name,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BPerOp:      r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
-			Gomaxprocs:  bm.gomaxprocs,
 		}
 		if r.Bytes > 0 && r.T > 0 {
 			res.MBPerS = float64(r.Bytes) * float64(r.N) / r.T.Seconds() / 1e6
@@ -211,70 +192,16 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "bench: wrote %s\n", outPath)
 
-	var cmpErr error
 	if prev == nil {
 		fmt.Fprintln(os.Stderr, "bench: no previous BENCH_*.json to compare against")
-	} else {
-		cmpErr = compare(prev, prevPath, &rep, *threshold, *mbsThreshold, *check)
-	}
-	if *check {
-		if err := checkScaling(&rep, *smoke); err != nil {
-			return err
-		}
-	}
-	return cmpErr
-}
-
-// checkScaling enforces the parallel scaling curve within one report:
-// no workers=N row may fall below sequential BuildIndex (beyond noise),
-// and on hosts with at least 4 cores the workers=4 row pinned at
-// gomaxprocs=4 must reach 1.8x sequential throughput. Smoke runs are
-// single-iteration and carry no timing signal, so they skip the check.
-func checkScaling(rep *report, smoke bool) error {
-	if smoke {
-		fmt.Fprintln(os.Stderr, "bench: scaling check skipped (-smoke timing is not meaningful)")
 		return nil
 	}
-	mbs := make(map[string]float64, len(rep.Results))
-	for _, r := range rep.Results {
-		mbs[r.Name] = r.MBPerS
-	}
-	seq := mbs["x86/BuildIndex"]
-	if seq <= 0 {
-		fmt.Fprintln(os.Stderr, "bench: scaling check skipped (no x86/BuildIndex row)")
-		return nil
-	}
-	// Same-binary benchmark noise on shared VMs runs ~10%; only flag a
-	// parallel row as a collapse when it is clearly below sequential.
-	const noise = 0.90
-	for _, r := range rep.Results {
-		if !strings.HasPrefix(r.Name, "x86/BuildIndexParallel/") || r.MBPerS <= 0 {
-			continue
-		}
-		if r.MBPerS < seq*noise {
-			return fmt.Errorf("scaling: %s at %.2f MB/s is below sequential BuildIndex %.2f MB/s", r.Name, r.MBPerS, seq)
-		}
-	}
-	if rep.NumCPU < 4 {
-		fmt.Fprintf(os.Stderr, "bench: 1.8x scaling target skipped (%d cores; needs >= 4)\n", rep.NumCPU)
-		return nil
-	}
-	const target = 1.8
-	name := "x86/BuildIndexParallel/workers=4/gomaxprocs=4"
-	if par := mbs[name]; par > 0 && par < seq*target {
-		return fmt.Errorf("scaling: %s at %.2f MB/s is %.2fx sequential (%.2f MB/s), want >= %.1fx",
-			name, par, par/seq, seq, target)
-	}
-	return nil
+	return compare(prev, prevPath, &rep, *threshold, *mbsThreshold, *check)
 }
 
 type benchmark struct {
 	name string
 	fn   func(b *testing.B)
-	// gomaxprocs, when > 0, pins runtime.GOMAXPROCS around this row's
-	// measurement so the parallel series can be read as a scaling curve
-	// independent of the machine the numbers were recorded on.
-	gomaxprocs int
 }
 
 type benchCase struct {
@@ -320,9 +247,10 @@ func series(set []benchCase, corpusBytes int) []benchmark {
 	const textLen = 1 << 20
 	rng := rand.New(rand.NewSource(424242))
 	text := x86.GenText(textLen, x86.Mode64, rng, 0)
+	atext := arm64.GenText(textLen, rand.New(rand.NewSource(424242)))
 	perBin := int64(corpusBytes / len(set))
 
-	bms := []benchmark{
+	return []benchmark{
 		{name: "x86/Decode", fn: func(b *testing.B) {
 			b.SetBytes(textLen)
 			b.ReportAllocs()
@@ -361,54 +289,6 @@ func series(set []benchCase, corpusBytes int) []benchmark {
 				}
 			}
 		}},
-		// x86/Superset decodes at every byte offset (the length-memoized
-		// superset disassembly); MB/s is per text byte, so the row reads
-		// directly against x86/Sweep as the cost of superset coverage.
-		// The generated text ends mid-instruction, so whole-text chain
-		// viability is legitimately empty — assert on the memo instead.
-		{name: "x86/Superset", fn: func(b *testing.B) {
-			b.SetBytes(textLen)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if s := x86.BuildSuperset(text, 0x401000, x86.Mode64); s.LenAt(0) == 0 {
-					b.Fatal("offset 0 did not decode")
-				}
-			}
-		}},
-	}
-	for _, workers := range []int{2, 4, 8} {
-		workers := workers
-		bms = append(bms, benchmark{name: fmt.Sprintf("x86/BuildIndexParallel/workers=%d", workers), fn: func(b *testing.B) {
-			b.SetBytes(textLen)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if idx := x86.BuildIndexParallel(text, 0x401000, x86.Mode64, workers); len(idx.Insts) == 0 {
-					b.Fatal("empty index")
-				}
-			}
-		}})
-	}
-	// The gomaxprocs=N series re-runs the workers=4 parallel build with
-	// the scheduler pinned, separating algorithmic speedup (exact-size
-	// assembly vs append growth) from hardware parallelism.
-	for _, procs := range []int{1, 2, 4} {
-		procs := procs
-		bms = append(bms, benchmark{
-			name:       fmt.Sprintf("x86/BuildIndexParallel/workers=4/gomaxprocs=%d", procs),
-			gomaxprocs: procs,
-			fn: func(b *testing.B) {
-				b.SetBytes(textLen)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if idx := x86.BuildIndexParallel(text, 0x401000, x86.Mode64, 4); len(idx.Insts) == 0 {
-						b.Fatal("empty index")
-					}
-				}
-			},
-		})
-	}
-	atext := arm64.GenText(textLen, rand.New(rand.NewSource(424242)))
-	bms = append(bms,
 		benchmark{name: "arm64/Sweep", fn: func(b *testing.B) {
 			b.SetBytes(int64(len(atext)))
 			b.ReportAllocs()
@@ -434,8 +314,6 @@ func series(set []benchCase, corpusBytes int) []benchmark {
 				}
 			}
 		}},
-	)
-	bms = append(bms,
 		benchmark{name: "identify/Config4", fn: func(b *testing.B) {
 			b.SetBytes(perBin)
 			b.ReportAllocs()
@@ -683,8 +561,7 @@ func series(set []benchCase, corpusBytes int) []benchmark {
 				}
 			}
 		}},
-	)
-	return bms
+	}
 }
 
 // latestPrevious finds the lexicographically latest BENCH_*.json in dir,

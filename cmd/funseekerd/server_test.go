@@ -150,29 +150,21 @@ func TestAnalyzeRoundTrip(t *testing.T) {
 		t.Fatalf("shed block = %+v, want present and disabled", st.Shed)
 	}
 
-	// The v1 shim still serves the legacy flat shape.
-	legacyResp, err := http.Get(ts.URL + "/v1/stats?v=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy statsResponse
-	if err := json.NewDecoder(legacyResp.Body).Decode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	legacyResp.Body.Close()
-	if legacy.CacheHits < 1 || legacy.UptimeSeconds <= 0 {
-		t.Fatalf("v1 shim = hits %d uptime %v", legacy.CacheHits, legacy.UptimeSeconds)
-	}
-
-	// Unknown versions are refused, not silently defaulted.
-	badResp, err := http.Get(ts.URL + "/v1/stats?v=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, badResp.Body)
-	badResp.Body.Close()
-	if badResp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("?v=3 status = %d, want 400", badResp.StatusCode)
+	// The retired v1 flat shape and unknown versions are refused alike,
+	// not silently defaulted.
+	for _, v := range []string{"1", "3"} {
+		badResp, err := http.Get(ts.URL + "/v1/stats?v=" + v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		err = json.NewDecoder(badResp.Body).Decode(&er)
+		badResp.Body.Close()
+		if badResp.StatusCode != http.StatusBadRequest || err != nil ||
+			er.Kind != "bad_request" || !strings.Contains(er.Error, "want 2") {
+			t.Fatalf("?v=%s = %d %+v (decode err %v), want 400 bad_request naming v2",
+				v, badResp.StatusCode, er, err)
+		}
 	}
 }
 

@@ -155,9 +155,9 @@ func Identify(path string, opts Options) (*Report, error) {
 
 // IdentifyCtx runs FunSeeker on the ELF binary at path under ctx.
 // Cancellation is cooperative and cheap: the linear sweep — the dominant
-// cost — checks ctx at parallel-shard and stride boundaries, so a
-// canceled or timed-out request stops burning CPU within tens of
-// microseconds and returns ErrCanceled (or context.DeadlineExceeded).
+// cost — checks ctx every stride of decoded text, so a canceled or
+// timed-out request stops burning CPU within tens of microseconds and
+// returns ErrCanceled (or context.DeadlineExceeded).
 func IdentifyCtx(ctx context.Context, path string, opts Options) (*Report, error) {
 	return core.IdentifyFileCtx(ctx, path, opts)
 }

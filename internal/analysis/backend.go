@@ -77,31 +77,18 @@ func (b x86Backend) Arch() elfx.Arch {
 	return elfx.ArchX86_64
 }
 
-// buildIndex delegates the sweep strategy to the x86 package: workers
-// <= 0 lets BuildIndexParallelCtx pick shard and goroutine counts from
-// the text size and the cores actually available, falling back to the
-// sequential two-pass build below its own minParallelBytes threshold.
-// Keeping the auto-selection in one place means the backend cannot
-// disagree with the sweep layer about when sharding pays. Both
-// strategies produce byte-identical indexes (internal/diffcheck asserts
-// it per binary) and honor ctx cancellation at stride boundaries.
-func (b x86Backend) buildIndex(ctx context.Context, bin *elfx.Binary) (*x86.Index, error) {
-	return x86.BuildIndexParallelCtx(ctx, bin.Text, bin.TextAddr, b.mode, 0)
-}
-
 // BuildSweep implements Backend: one x86 linear sweep, with endbr
 // landmarks, direct call/jump targets, and the indirect-return-call
-// annotations FILTERENDBR consumes.
+// annotations FILTERENDBR consumes. The sweep runs on the calling
+// goroutine and checks ctx every stride of decoded text.
 func (b x86Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, error) {
-	idx, err := b.buildIndex(ctx, bin)
+	idx, err := x86.BuildIndexCtx(ctx, bin.Text, bin.TextAddr, b.mode)
 	if err != nil {
 		return nil, err
 	}
 	sw := &Sweep{
 		Arch:              b.Arch(),
 		Index:             idx,
-		Shards:            idx.Shards,
-		StitchRetries:     idx.StitchRetries,
 		AfterIRCall:       make(map[uint64]bool),
 		AllCallTargets:    make(map[uint64]bool),
 		JumpTargetSet:     make(map[uint64]bool),
@@ -173,9 +160,7 @@ type arm64Backend struct{}
 // Arch implements Backend.
 func (arm64Backend) Arch() elfx.Arch { return elfx.ArchAArch64 }
 
-// BuildSweep implements Backend: one fixed-width AArch64 sweep. The
-// sweep is never sharded — with 4-byte instructions every decode start
-// is already synchronized, so parallel speculation has nothing to buy.
+// BuildSweep implements Backend: one fixed-width AArch64 sweep.
 func (arm64Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, error) {
 	ix, err := arm64.BuildIndexCtx(ctx, bin.Text, bin.TextAddr)
 	if err != nil {
@@ -184,7 +169,6 @@ func (arm64Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, e
 	sw := &Sweep{
 		Arch:              elfx.ArchAArch64,
 		ARM64:             ix,
-		Shards:            1,
 		AfterIRCall:       make(map[uint64]bool),
 		AllCallTargets:    make(map[uint64]bool),
 		JumpTargetSet:     make(map[uint64]bool),

@@ -66,10 +66,6 @@ type Sweep struct {
 	Index *x86.Index
 	// ARM64 is the materialized AArch64 sweep, nil for x86 backends.
 	ARM64 *arm64.Index
-	// Shards / StitchRetries are the backend-neutral parallel-decode
-	// accounting (1 / 0 for a sequential sweep).
-	Shards        int
-	StitchRetries int
 
 	// Endbrs is E: every landmark address in .text, ascending.
 	Endbrs []uint64
@@ -180,8 +176,8 @@ func (c *Context) SweepCtx(ctx context.Context) (*Sweep, error) {
 // SweepArchCtx returns the memoized linear-sweep artifacts for arch
 // (ArchAuto selects the binary's native architecture), computing them
 // under ctx on first call. Cancellation is cooperative: the sweep checks
-// ctx at parallel-shard and stride boundaries, so an aborted request
-// stops burning CPU within tens of microseconds. A canceled computation
+// ctx at stride boundaries, so an aborted request stops burning CPU
+// within tens of microseconds. A canceled computation
 // is not memoized — the next caller recomputes under its own context —
 // and a caller waiting behind another goroutine's in-flight computation
 // returns ctx.Err() as soon as its own context is done.
@@ -212,8 +208,6 @@ func (c *Context) SweepArchCtx(ctx context.Context, arch elfx.Arch) (*Sweep, err
 			if err == nil {
 				m.sweep = sw
 				c.stats.sweep.observe(time.Since(start))
-				c.stats.sweepShards.Add(uint64(sw.Shards))
-				c.stats.stitchRetries.Add(uint64(sw.StitchRetries))
 			}
 			close(wait)
 			m.mu.Unlock()

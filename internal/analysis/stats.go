@@ -55,14 +55,6 @@ type Stats struct {
 	Filter StageStat
 	// TailCall is the SELECTTAILCALL refinement (per identification run).
 	TailCall StageStat
-
-	// SweepShards is the total shard count across sweeps (1 per
-	// sequentially-swept binary, the worker count per parallel sweep).
-	SweepShards uint64
-	// StitchRetries is the total number of seam instructions the
-	// parallel sweeps had to re-decode before shard streams
-	// re-synchronized.
-	StitchRetries uint64
 }
 
 // Add accumulates another snapshot.
@@ -74,8 +66,6 @@ func (s *Stats) Add(o Stats) {
 	s.Superset.Add(o.Superset)
 	s.Filter.Add(o.Filter)
 	s.TailCall.Add(o.TailCall)
-	s.SweepShards += o.SweepShards
-	s.StitchRetries += o.StitchRetries
 }
 
 // EachStage calls f once per pipeline stage, in canonical order, with
@@ -104,10 +94,6 @@ func (s Stats) Render() string {
 		}
 		fmt.Fprintf(&b, "  %-12s %9d %9d %12s %12s\n", name, st.Computes, st.Hits, st.Time, st.Mean())
 	})
-	if s.SweepShards > s.Sweep.Computes {
-		fmt.Fprintf(&b, "  %-12s %9d shards, %d stitch retries\n",
-			"par-sweep", s.SweepShards, s.StitchRetries)
-	}
 	return b.String()
 }
 
@@ -121,9 +107,6 @@ type statCounters struct {
 	superset   stageCounter
 	filter     stageCounter
 	tailCall   stageCounter
-
-	sweepShards   atomic.Uint64
-	stitchRetries atomic.Uint64
 }
 
 // stageCounter accumulates one stage concurrently.
@@ -151,15 +134,13 @@ func (c *stageCounter) snapshot() StageStat {
 // Stats returns a consistent-enough snapshot of the context's counters.
 func (c *Context) Stats() Stats {
 	return Stats{
-		Sweep:         c.stats.sweep.snapshot(),
-		EHParse:       c.stats.ehParse.snapshot(),
-		LandingPad:    c.stats.landingPad.snapshot(),
-		FDEIndex:      c.stats.fdeIndex.snapshot(),
-		Superset:      c.stats.superset.snapshot(),
-		Filter:        c.stats.filter.snapshot(),
-		TailCall:      c.stats.tailCall.snapshot(),
-		SweepShards:   c.stats.sweepShards.Load(),
-		StitchRetries: c.stats.stitchRetries.Load(),
+		Sweep:      c.stats.sweep.snapshot(),
+		EHParse:    c.stats.ehParse.snapshot(),
+		LandingPad: c.stats.landingPad.snapshot(),
+		FDEIndex:   c.stats.fdeIndex.snapshot(),
+		Superset:   c.stats.superset.snapshot(),
+		Filter:     c.stats.filter.snapshot(),
+		TailCall:   c.stats.tailCall.snapshot(),
 	}
 }
 

@@ -162,11 +162,11 @@ func IdentifyWithContext(actx *analysis.Context, opts Options) (*Report, error) 
 }
 
 // IdentifyCtx is the cancellation-aware form of IdentifyWithContext: the
-// dominant cost — the linear sweep — checks ctx at parallel-shard and
-// stride boundaries, and the refinement stages check it at stage
-// boundaries, so a canceled request returns ctx.Err() quickly instead of
-// completing the analysis. (By convention throughout this module, ctx is
-// a context.Context and actx a *analysis.Context.)
+// dominant cost — the linear sweep — checks ctx at stride boundaries,
+// and the refinement stages check it at stage boundaries, so a canceled
+// request returns ctx.Err() quickly instead of completing the analysis.
+// (By convention throughout this module, ctx is a context.Context and
+// actx a *analysis.Context.)
 func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Report, error) {
 	bin := actx.Binary()
 	sw, err := actx.SweepArchCtx(ctx, opts.Arch)

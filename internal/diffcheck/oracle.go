@@ -15,7 +15,6 @@ import (
 	"github.com/funseeker/funseeker/internal/idapro"
 	"github.com/funseeker/funseeker/internal/recdesc"
 	"github.com/funseeker/funseeker/internal/synth"
-	"github.com/funseeker/funseeker/internal/x86"
 )
 
 // fourConfigs are the paper's Table II configurations in order ①..④.
@@ -85,7 +84,6 @@ func CheckSpec(spec *ProgSpec, cfg Config) (vs []Violation) {
 	}
 	c.checkBaselines(ctx, bin)
 	c.checkRecdesc(bin, ctx)
-	c.checkParallelSweep(bin)
 	c.checkStats(ctx, bin)
 	return c.vs
 }
@@ -472,36 +470,6 @@ func (c *checker) checkRecdesc(bin *elfx.Binary, ctx *analysis.Context) {
 	for _, e := range pe {
 		if !bin.InText(e) {
 			c.addf("recdesc-bounds", "entry %#x outside .text", e)
-		}
-	}
-}
-
-// checkParallelSweep asserts the sharded-sweep stitching contract: for
-// any worker count, BuildIndexParallel must produce an index
-// byte-identical to the sequential BuildIndex — same instruction stream
-// (every field, compared with ==) and the same skipped-byte accounting,
-// including on binaries with data-in-text where the shard seams can land
-// mid-garbage. Odd worker counts are used deliberately so the seams
-// fall at unaligned offsets.
-func (c *checker) checkParallelSweep(bin *elfx.Binary) {
-	seq := x86.BuildIndex(bin.Text, bin.TextAddr, bin.Mode)
-	for _, workers := range []int{2, 3, 7} {
-		par := x86.BuildIndexParallel(bin.Text, bin.TextAddr, bin.Mode, workers)
-		if len(par.Insts) != len(seq.Insts) {
-			c.addf("parallel-sweep", "workers=%d: %d instructions vs %d sequential",
-				workers, len(par.Insts), len(seq.Insts))
-			continue
-		}
-		for i := range seq.Insts {
-			if par.Insts[i] != seq.Insts[i] {
-				c.addf("parallel-sweep", "workers=%d: inst %d differs: parallel %+v vs sequential %+v",
-					workers, i, par.Insts[i], seq.Insts[i])
-				break
-			}
-		}
-		if par.Skipped != seq.Skipped {
-			c.addf("parallel-sweep", "workers=%d: skipped %d bytes vs %d sequential",
-				workers, par.Skipped, seq.Skipped)
 		}
 	}
 }

@@ -20,8 +20,8 @@
 //     same bytes run one analysis, and the other N-1 wait on it (each
 //     still honoring its own context).
 //   - Cancellation reaches the linear sweep via core.IdentifyCtx, so an
-//     aborted request stops burning CPU at the next shard/stride
-//     boundary instead of completing a dead analysis.
+//     aborted request stops burning CPU at the next stride boundary
+//     instead of completing a dead analysis.
 package engine
 
 import (

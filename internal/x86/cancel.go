@@ -48,14 +48,5 @@ func LinearSweepCtx(ctx context.Context, code []byte, base uint64, mode Mode, fn
 // partial decode is discarded. It shares the two-pass exact-size build
 // with BuildIndex.
 func BuildIndexCtx(ctx context.Context, code []byte, base uint64, mode Mode) (*Index, error) {
-	return buildIndexSeq(ctx, code, base, mode)
-}
-
-// BuildIndexParallelCtx is BuildIndexParallel with cooperative
-// cancellation: every shard checks ctx at cancelStride boundaries of its
-// chunk, and the seam stitcher does the same, so an aborted request
-// stops burning all cores within a stride. On cancellation it returns
-// (nil, ctx.Err()).
-func BuildIndexParallelCtx(ctx context.Context, code []byte, base uint64, mode Mode, workers int) (*Index, error) {
-	return buildIndexParallel(ctx, code, base, mode, workers)
+	return buildIndex(ctx, code, base, mode)
 }

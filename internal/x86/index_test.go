@@ -1,6 +1,10 @@
 package x86
 
-import "testing"
+import (
+	"math/rand"
+	"sync"
+	"testing"
+)
 
 func TestBuildIndexMatchesSweepAll(t *testing.T) {
 	code := []byte{
@@ -52,4 +56,57 @@ func TestIndexRange(t *testing.T) {
 	if got := idx.Range(0x0, 0x1000); len(got) != 5 {
 		t.Errorf("covering range returned %d instructions, want 5", len(got))
 	}
+}
+
+// TestIndexConcurrentReaders hammers one index from many goroutines
+// (run with -race in CI): an Index is immutable after construction and
+// must serve At/AtPtr/Range concurrently without synchronization. The
+// text is 256 KiB, the size of the larger binaries in a corpus run.
+func TestIndexConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	code := GenText(256<<10, Mode64, rng, 0.05)
+	idx := BuildIndex(code, 0x401000, Mode64)
+	flat := SweepAll(code, 0x401000, Mode64)
+	if len(idx.Insts) != len(flat) {
+		t.Fatalf("index has %d instructions, SweepAll %d", len(idx.Insts), len(flat))
+	}
+	for i := range flat {
+		if idx.Insts[i] != flat[i] {
+			t.Fatalf("inst %d: index %+v vs sweep %+v", i, idx.Insts[i], flat[i])
+		}
+	}
+
+	const readers = 8
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 20000; i++ {
+				va := idx.Base + uint64(rng.Intn(len(code)))
+				inst, ok := idx.At(va)
+				p := idx.AtPtr(va)
+				if ok != (p != nil) {
+					t.Errorf("At(%#x) ok=%v but AtPtr=%v", va, ok, p)
+					return
+				}
+				if ok && (*p != inst || inst.Addr != va) {
+					t.Errorf("At(%#x) inconsistent with AtPtr", va)
+					return
+				}
+				if i%64 == 0 {
+					lo := idx.Base + uint64(rng.Intn(len(code)))
+					sub := idx.Range(lo, lo+256)
+					for j := 1; j < len(sub); j++ {
+						if sub[j].Addr <= sub[j-1].Addr {
+							t.Errorf("Range not ascending at %#x", sub[j].Addr)
+							return
+						}
+					}
+				}
+			}
+		}(int64(r))
+	}
+	wg.Wait()
 }

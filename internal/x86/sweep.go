@@ -78,13 +78,6 @@ type Index struct {
 	// re-synchronize after decode errors (zero for well-formed
 	// compiler-generated text).
 	Skipped int
-	// Shards is the number of shards the index was decoded with
-	// (1 for a sequential BuildIndex).
-	Shards int
-	// StitchRetries counts the instructions BuildIndexParallel had to
-	// re-decode sequentially at shard seams before the speculative shard
-	// streams re-synchronized (0 for a sequential build).
-	StitchRetries int
 
 	// Instruction boundaries are stored as a rank/select bitmap: one bit
 	// per code byte (set = an instruction starts there) plus a per-word
@@ -99,9 +92,10 @@ type Index struct {
 	n     int // len(code) the index was built over
 }
 
-// BuildIndex runs one sequential linear sweep over code and materializes
-// it. For large texts BuildIndexParallel produces an identical index
-// faster.
+// BuildIndex runs one linear sweep over code and materializes it. It is
+// the only x86 index builder: a corpus run already keeps one binary per
+// core in flight, so splitting one binary's sweep across cores buys no
+// throughput.
 //
 // The build is two-pass: a counting sweep that records only the boundary
 // bitmap (one reused cache-resident Inst, no stores into a growing
@@ -113,21 +107,20 @@ type Index struct {
 // second decode pass is cheaper than one round of copying, and it
 // leaves the index allocating only its three final arrays.
 func BuildIndex(code []byte, base uint64, mode Mode) *Index {
-	idx, _ := buildIndexSeq(noCancel, code, base, mode)
+	idx, _ := buildIndex(noCancel, code, base, mode)
 	return idx
 }
 
-// buildIndexSeq is the shared sequential build behind BuildIndex and
-// BuildIndexCtx. A context that can never cancel (noCancel /
-// context.Background) skips every per-stride check.
-func buildIndexSeq(ctx context.Context, code []byte, base uint64, mode Mode) (*Index, error) {
+// buildIndex is the shared build behind BuildIndex and BuildIndexCtx.
+// A context that can never cancel (noCancel / context.Background) skips
+// every per-stride check.
+func buildIndex(ctx context.Context, code []byte, base uint64, mode Mode) (*Index, error) {
 	words := (len(code) + 63) / 64
 	idx := &Index{
-		Base:   base,
-		Shards: 1,
-		bits:   make([]uint64, words),
-		ranks:  make([]int32, words),
-		n:      len(code),
+		Base:  base,
+		bits:  make([]uint64, words),
+		ranks: make([]int32, words),
+		n:     len(code),
 	}
 	done := ctx.Done()
 	// Pass 1: count instructions and set boundary bits.

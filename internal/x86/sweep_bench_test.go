@@ -2,14 +2,12 @@ package x86
 
 import (
 	"math/rand"
-	"strconv"
 	"sync"
 	"testing"
 )
 
 // The sweep microbenchmark corpus: 4 MiB of compiler-shaped text per
-// mode, built once. Large enough that the parallel build's fan-out is
-// amortized and MB/s figures are stable.
+// mode, built once. Large enough that MB/s figures are stable.
 var (
 	benchTextOnce sync.Once
 	benchText64   []byte
@@ -79,24 +77,6 @@ func BenchmarkBuildIndex(b *testing.B) {
 		if len(idx.Insts) == 0 {
 			b.Fatal("empty index")
 		}
-	}
-}
-
-// BenchmarkBuildIndexParallel measures the sharded build at several
-// worker counts against the same corpus as BenchmarkBuildIndex.
-func BenchmarkBuildIndexParallel(b *testing.B) {
-	code := sweepBenchText(Mode64)
-	for _, workers := range []int{2, 4, 8} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			b.SetBytes(int64(len(code)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				idx := BuildIndexParallel(code, 0x401000, Mode64, workers)
-				if len(idx.Insts) == 0 {
-					b.Fatal("empty index")
-				}
-			}
-		})
 	}
 }
 
